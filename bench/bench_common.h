@@ -27,12 +27,6 @@ struct BenchConfig {
   /// Worker threads for the phase-DAG scheduler (`--threads=N`); 1 = the
   /// historical serial execution.
   int exec_threads = 1;
-  /// Buffer-pool shard count (`--pool-shards=N`); 0 = auto (8 sub-pools when
-  /// threads > 1, one otherwise). See docs/BUFFERPOOL.md.
-  size_t pool_shards = 0;
-  /// Leaf read-ahead window in pages (`--readahead=N`); 0 = off. Keeps
-  /// simulated I/O identical — only host wall time changes.
-  size_t readahead_pages = 0;
   /// Durability backend (`--backend=sim|file`). "sim" (default) runs over
   /// in-memory pages and WAL image; "file" runs the identical workload over
   /// a real pwrite/fsync page file and on-disk WAL under `db_dir`. Simulated

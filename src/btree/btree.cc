@@ -16,39 +16,6 @@ constexpr uint32_t kInnerOff = 24;
 constexpr uint32_t kBtreeMagic = 0x42545231;  // "BTR1"
 
 constexpr int64_t kMinKey = std::numeric_limits<int64_t>::min();
-
-PageId SiblingOf(const char* data) {
-  return BTreeNode(const_cast<char*>(data)).right_sibling();
-}
-
-/// Announces the upcoming leaf chain to the buffer pool as a leaf pass walks
-/// it. The pool fetches those pages in chain order under the calling phase's
-/// IoAttribution, so the charged I/O is exactly what the demand fetches would
-/// have produced (see docs/BUFFERPOOL.md) — the walk merely stops missing.
-/// A countdown tracks how far ahead the last announcement reached so each
-/// leaf is prefetched at most once per pass.
-class LeafPrefetcher {
- public:
-  explicit LeafPrefetcher(BufferPool* pool)
-      : pool_(pool), window_(pool->readahead_pages()) {}
-
-  void Announce(PageId next) {
-    if (window_ == 0 || next == kInvalidPageId) return;
-    if (countdown_ > 0) {
-      --countdown_;
-      return;
-    }
-    size_t covered = pool_->PrefetchChain(next, window_, &SiblingOf);
-    // Zero coverage means the pool could not place even one page without a
-    // dirty eviction; back off a full window before asking again.
-    countdown_ = covered > 0 ? covered : window_;
-  }
-
- private:
-  BufferPool* pool_;
-  size_t window_;
-  size_t countdown_ = 0;
-};
 }  // namespace
 
 uint16_t BTree::leaf_capacity() const {
@@ -417,7 +384,6 @@ Status BTree::RangeScan(
     int64_t lo, int64_t hi,
     const std::function<Status(int64_t, const Rid&)>& visitor) {
   BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(lo)));
-  LeafPrefetcher prefetch(pool_);
   while (cur != kInvalidPageId) {
     PageId next;
     {
@@ -431,7 +397,6 @@ Status BTree::RangeScan(
       }
       next = node.right_sibling();
     }
-    prefetch.Announce(next);
     cur = next;
   }
   return Status::OK();
@@ -440,7 +405,6 @@ Status BTree::RangeScan(
 Status BTree::ScanAll(
     const std::function<Status(int64_t, const Rid&, uint16_t)>& visitor) {
   BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(kMinKey)));
-  LeafPrefetcher prefetch(pool_);
   while (cur != kInvalidPageId) {
     PageId next;
     {
@@ -453,7 +417,6 @@ Status BTree::ScanAll(
       }
       next = node.right_sibling();
     }
-    prefetch.Announce(next);
     cur = next;
   }
   return Status::OK();
@@ -767,7 +730,6 @@ Status BTree::BulkDeleteSortedKeys(
   if (!keys.empty()) {
     BULKDEL_ASSIGN_OR_RETURN(PageId cur,
                              DescendToLeaf(KeyRid::Min(keys.front())));
-    LeafPrefetcher prefetch(pool_);
     size_t i = 0;
     while (cur != kInvalidPageId && i < keys.size()) {
       BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
@@ -802,10 +764,7 @@ Status BTree::BulkDeleteSortedKeys(
       if (node.count() == 0 && height_ > 1) {
         empties.push_back(EmptyLeaf{cur, probe0});
       }
-      PageId next = node.right_sibling();
-      guard.Release();
-      prefetch.Announce(next);
-      cur = next;
+      cur = node.right_sibling();
     }
   }
   entry_count_ -= local.entries_deleted;
@@ -821,7 +780,6 @@ Status BTree::BulkDeleteSortedEntries(const std::vector<KeyRid>& entries,
   std::vector<EmptyLeaf> empties;
   if (!entries.empty()) {
     BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(entries.front()));
-    LeafPrefetcher prefetch(pool_);
     size_t i = 0;
     while (cur != kInvalidPageId && i < entries.size()) {
       BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
@@ -856,10 +814,7 @@ Status BTree::BulkDeleteSortedEntries(const std::vector<KeyRid>& entries,
       if (node.count() == 0 && height_ > 1) {
         empties.push_back(EmptyLeaf{cur, probe0});
       }
-      PageId next = node.right_sibling();
-      guard.Release();
-      prefetch.Announce(next);
-      cur = next;
+      cur = node.right_sibling();
     }
   }
   entry_count_ -= local.entries_deleted;
@@ -881,7 +836,6 @@ Status BTree::BulkDeleteByPredicate(
         PageId start, DescendToLeaf(KeyRid::Min(lo.has_value() ? *lo : kMinKey)));
     cur = start;
   }
-  LeafPrefetcher prefetch(pool_);
   bool done = false;
   while (cur != kInvalidPageId && !done) {
     BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
@@ -915,10 +869,7 @@ Status BTree::BulkDeleteByPredicate(
     if (node.count() == 0 && height_ > 1) {
       empties.push_back(EmptyLeaf{cur, probe0});
     }
-    PageId next = node.right_sibling();
-    guard.Release();
-    if (!done) prefetch.Announce(next);
-    cur = next;
+    cur = node.right_sibling();
   }
   entry_count_ -= local.entries_deleted;
   BULKDEL_RETURN_IF_ERROR(FinishBulkDelete(std::move(empties), reorg, &local));
@@ -994,7 +945,6 @@ Status BTree::BulkDeleteRangeLocked(
   };
   if (lo <= hi) {
     BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(lo)));
-    LeafPrefetcher prefetch(pool_);
     bool done = false;
     while (cur != kInvalidPageId && !done) {
       BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
@@ -1029,10 +979,7 @@ Status BTree::BulkDeleteRangeLocked(
         run.push_back(EmptyLeaf{cur, probe0});
         local.entries_deleted += count;
         ++local.leaves_dropped;
-        PageId next = node.right_sibling();
-        guard.Release();
-        prefetch.Announce(next);
-        cur = next;
+        cur = node.right_sibling();
         continue;
       }
       // Boundary (or marker-pinned) leaf: splice any open run out of the
@@ -1066,10 +1013,7 @@ Status BTree::BulkDeleteRangeLocked(
       if (node.count() == 0 && height_ > 1) {
         empties.push_back(EmptyLeaf{cur, probe0});
       }
-      PageId next = node.right_sibling();
-      guard.Release();
-      if (!done) prefetch.Announce(next);
-      cur = next;
+      cur = node.right_sibling();
     }
     // A run still open here ran off the right end of the chain (or the range
     // covered everything up to a leaf we never fetched): splice it out now.
@@ -1113,7 +1057,6 @@ Status BTree::MergeLookupSortedKeys(
     const std::function<Status(int64_t, const Rid&)>& visitor) {
   if (keys.empty()) return Status::OK();
   BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(keys.front())));
-  LeafPrefetcher prefetch(pool_);
   size_t i = 0;
   while (cur != kInvalidPageId && i < keys.size()) {
     PageId next;
@@ -1136,7 +1079,6 @@ Status BTree::MergeLookupSortedKeys(
       }
       next = node.right_sibling();
     }
-    prefetch.Announce(next);
     cur = next;
   }
   return Status::OK();
@@ -1155,7 +1097,6 @@ Result<uint64_t> BTree::CountMatchingSortedKeys(
 
 Status BTree::ClearUndeletableFlags() {
   BULKDEL_ASSIGN_OR_RETURN(PageId cur, DescendToLeaf(KeyRid::Min(kMinKey)));
-  LeafPrefetcher prefetch(pool_);
   while (cur != kInvalidPageId) {
     BULKDEL_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(cur));
     BTreeNode node(guard.data());
@@ -1169,10 +1110,7 @@ Status BTree::ClearUndeletableFlags() {
       }
     }
     if (modified) guard.MarkDirty();
-    PageId next = node.right_sibling();
-    guard.Release();
-    prefetch.Announce(next);
-    cur = next;
+    cur = node.right_sibling();
   }
   return Status::OK();
 }

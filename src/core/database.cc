@@ -18,17 +18,10 @@
 
 namespace bulkdel {
 
-Database::Database(DatabaseOptions options) : options_(std::move(options)) {
-  // Back-compat: a non-empty path always meant file backing.
-  if (!options_.path.empty()) options_.backend = StorageBackend::kFile;
-}
+Database::Database(DatabaseOptions options) : options_(std::move(options)) {}
 
 Status Database::WireStorage(bool truncate) {
-  if (options_.backend == StorageBackend::kFile) {
-    if (options_.path.empty()) {
-      return Status::InvalidArgument(
-          "file storage backend requires DatabaseOptions::path");
-    }
+  if (storage_backend() == StorageBackend::kFile) {
     if (::mkdir(options_.path.c_str(), 0755) != 0 && errno != EEXIST) {
       return Status::IOError("mkdir " + options_.path + ": " +
                              std::strerror(errno));
@@ -44,13 +37,9 @@ Status Database::WireStorage(bool truncate) {
   log_->SetGroupCommit(options_.wal_group_commit);
   BufferPoolOptions pool_options;
   pool_options.budget_bytes = options_.memory_budget_bytes;
-  // Auto shard choice: parallel phases want striping, the serial executor
-  // gains nothing from it.
-  pool_options.shards = options_.pool_shards != 0
-                            ? options_.pool_shards
-                            : (options_.exec_threads > 1 ? 8 : 1);
-  pool_options.readahead_pages = options_.readahead_pages;
-  pool_options.coalesce_writebacks = options_.coalesce_writebacks;
+  // Parallel phases want latch striping; the serial executor gains nothing
+  // from it.
+  pool_options.shards = options_.exec_threads > 1 ? 8 : 1;
   pool_ = std::make_unique<BufferPool>(disk_.get(), pool_options);
   catalog_ = std::make_unique<Catalog>(pool_.get());
   locks_ = std::make_unique<LockManager>();
@@ -90,7 +79,6 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   if (options.path.empty()) {
     return Status::InvalidArgument("Database::Open requires a path");
   }
-  options.backend = StorageBackend::kFile;
   std::unique_ptr<Database> db(new Database(std::move(options)));
   BULKDEL_RETURN_IF_ERROR(db->WireStorage(/*truncate=*/false));
   if (db->disk_->NumAllocatedPages() == 0) {
@@ -635,10 +623,8 @@ Result<BulkDeleteReport> Database::ExecuteBulkDeletePlanned(
     }
     return Status::InvalidArgument("unknown strategy");
   }();
-  if (result.ok()) {
-    result->backend =
-        storage_backend() == StorageBackend::kFile ? "file" : "sim";
-    if (result->plan_explain.empty()) result->plan_explain = plan.Explain();
+  if (result.ok() && result->plan_explain.empty()) {
+    result->plan_explain = plan.Explain();
   }
   return result;
 }
@@ -653,8 +639,7 @@ Result<BulkDeleteReport> Database::BulkDeleteWithCascadePath(
   // attribution and the cancel flag. Created before FK planning so the
   // fk-plan / cascade phases land in the statement's trace.
   ExecContext ctx(this);
-  std::vector<BufferPoolStats> pool_before = pool_->shard_stats();
-  obs::MetricsSnapshot metrics_before = metrics_.Snapshot();
+  const StatementCounters before = SnapshotCounters();
 
   // Phase A, read-only (§2.1 done right): derive the doomed value set once,
   // evaluate EVERY RESTRICT — including those reached through CASCADE
@@ -715,16 +700,16 @@ Result<BulkDeleteReport> Database::BulkDeleteWithCascadePath(
     // context attributed its own I/O; fold it back in here).
     result->io += cascade_io;
     result->index_entries_deleted += cascade_index_entries;
-    std::vector<BufferPoolStats> pool_after = pool_->shard_stats();
-    result->pool_shards.resize(pool_after.size());
-    result->pool = BufferPoolStats();
-    for (size_t s = 0; s < pool_after.size(); ++s) {
-      result->pool_shards[s] = pool_after[s] - pool_before[s];
-      result->pool += result->pool_shards[s];
-    }
-    result->metrics = metrics_.Snapshot() - metrics_before;
+    FinishReport(before, &result.value());
   }
   return result;
+}
+
+void Database::FinishReport(const StatementCounters& before,
+                            BulkDeleteReport* report) const {
+  report->pool = pool_->stats() - before.pool;
+  report->metrics = metrics_.Snapshot() - before.metrics;
+  report->backend = storage_backend() == StorageBackend::kFile ? "file" : "sim";
 }
 
 Status Database::Checkpoint() {
@@ -831,22 +816,10 @@ Result<BulkDeleteReport> Database::BulkUpdateColumn(
     const std::string& table, const std::string& set_column, int64_t delta,
     const std::string& filter_column, int64_t lo, int64_t hi) {
   ExecContext ctx(this);
-  std::vector<BufferPoolStats> pool_before = pool_->shard_stats();
-  obs::MetricsSnapshot metrics_before = metrics_.Snapshot();
+  const StatementCounters before = SnapshotCounters();
   Result<BulkDeleteReport> result =
       ExecuteBulkUpdate(&ctx, table, set_column, delta, filter_column, lo, hi);
-  if (result.ok()) {
-    result->backend =
-        storage_backend() == StorageBackend::kFile ? "file" : "sim";
-    std::vector<BufferPoolStats> pool_after = pool_->shard_stats();
-    result->pool_shards.resize(pool_after.size());
-    result->pool = BufferPoolStats();
-    for (size_t s = 0; s < pool_after.size(); ++s) {
-      result->pool_shards[s] = pool_after[s] - pool_before[s];
-      result->pool += result->pool_shards[s];
-    }
-    result->metrics = metrics_.Snapshot() - metrics_before;
-  }
+  if (result.ok()) FinishReport(before, &result.value());
   return result;
 }
 

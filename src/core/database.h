@@ -59,23 +59,13 @@ struct DatabaseOptions {
   /// phases inline in the canonical serial order — identical behavior to the
   /// historical linear step list. Higher values let independent
   /// per-secondary-index phases overlap; simulated I/O totals stay identical
-  /// because attribution classifies sequentiality per phase.
+  /// because attribution classifies sequentiality per phase. Also sets the
+  /// buffer pool's lock striping: 8 shards when exec_threads > 1, a single
+  /// shard otherwise, clamped by the pool so tiny budgets never starve a
+  /// shard (see docs/BUFFERPOOL.md).
   int exec_threads = 1;
-  /// Buffer-pool lock striping: number of sub-pools (see docs/BUFFERPOOL.md).
-  /// 0 = auto: 8 shards when exec_threads > 1, a single shard otherwise. The
-  /// pool clamps the request so tiny budgets never starve a shard.
-  size_t pool_shards = 0;
-  /// Leaf read-ahead window in pages: how far ahead the B-tree leaf passes
-  /// and the heap table's sorted-RID pass prefetch. 0 disables read-ahead.
-  /// Any value keeps simulated I/O identical (see docs/BUFFERPOOL.md).
-  size_t readahead_pages = 0;
-  /// Batch adjacent dirty eviction victims into one sequential write run.
-  /// This changes the simulated write classification (random eviction writes
-  /// become sequential), so it is off by default and excluded from the
-  /// I/O-identity guarantee.
-  bool coalesce_writebacks = false;
   /// Record spans and instants into the process-wide obs::TraceRecorder
-  /// (phase begin/end, pool fetch/evict/flush, read-ahead, WAL sync,
+  /// (phase begin/end, pool fetch/evict/flush, WAL sync,
   /// checkpoints) for --perfetto-out export. Also unlocks the clock-reading
   /// latency histograms (bp.fetch_ns, latch waits, wal.sync_ns). Off by
   /// default: the instrumented hot paths then pay one relaxed atomic load.
@@ -93,11 +83,9 @@ struct DatabaseOptions {
   /// so the test harness keeps control of arming/disarming. Null in normal
   /// operation — the hot paths then pay a single pointer test.
   std::shared_ptr<FaultInjector> fault_injector;
-  /// Durable medium (see StorageBackend). A non-empty `path` implies kFile
-  /// for backward compatibility.
-  StorageBackend backend = StorageBackend::kSim;
-  /// kFile: directory holding the durable files (`pages.db`, `wal.log`, and
-  /// the clean-shutdown sidecar); created if missing. Empty = in-memory.
+  /// Durable medium (see StorageBackend): non-empty = kFile, the directory
+  /// holding the durable files (`pages.db`, `wal.log`, and the
+  /// clean-shutdown sidecar), created if missing. Empty = kSim, in-memory.
   std::string path;
   /// WAL group commit (file and sim backends alike): concurrent log syncers
   /// coalesce onto one leader flush/fsync per batch. Off = one flush+fsync
@@ -293,13 +281,27 @@ class Database {
  private:
   explicit Database(DatabaseOptions options);
 
-  /// Runs one bulk delete — plan, executor dispatch, backend/plan fill —
-  /// with NO foreign-key processing, against the caller's ExecContext.
+  /// Runs one bulk delete — plan, executor dispatch, plan fill — with NO
+  /// foreign-key processing, against the caller's ExecContext.
   /// Phase B of the two-phase cascade engine executes child legs and the
   /// parent delete through here.
   Result<BulkDeleteReport> ExecuteBulkDeletePlanned(ExecContext* ctx,
                                                     const BulkDeleteSpec& spec,
                                                     Strategy strategy);
+
+  /// The counters a statement's report is measured against, taken before
+  /// the statement runs.
+  struct StatementCounters {
+    BufferPoolStats pool;
+    obs::MetricsSnapshot metrics;
+  };
+  StatementCounters SnapshotCounters() const {
+    return StatementCounters{pool_->stats(), metrics_.Snapshot()};
+  }
+  /// Stamps `report` with the pool and metric deltas since `before` and the
+  /// storage backend that ran it.
+  void FinishReport(const StatementCounters& before,
+                    BulkDeleteReport* report) const;
 
   /// Deletes one row (heap + indices + WAL), skipping FK processing: the
   /// Phase-B executor of planned row cascades. `missing_ok` tolerates RIDs

@@ -78,10 +78,7 @@ void AppendPoolStats(std::string* out, const BufferPoolStats& pool) {
   AppendField(out, "hits", pool.hits);
   AppendField(out, "misses", pool.misses);
   AppendField(out, "evictions", pool.evictions);
-  AppendField(out, "dirty_writebacks", pool.dirty_writebacks);
-  AppendField(out, "prefetched", pool.prefetched);
-  AppendField(out, "prefetch_hits", pool.prefetch_hits);
-  AppendField(out, "coalesced_writebacks", pool.coalesced_writebacks,
+  AppendField(out, "dirty_writebacks", pool.dirty_writebacks,
               /*comma=*/false);
   *out += '}';
 }
@@ -157,9 +154,6 @@ BufferPoolStats PoolStatsFromJson(const JsonValue& v) {
   pool.misses = v.IntOr("misses");
   pool.evictions = v.IntOr("evictions");
   pool.dirty_writebacks = v.IntOr("dirty_writebacks");
-  pool.prefetched = v.IntOr("prefetched");
-  pool.prefetch_hits = v.IntOr("prefetch_hits");
-  pool.coalesced_writebacks = v.IntOr("coalesced_writebacks");
   return pool;
 }
 
@@ -204,12 +198,7 @@ std::string BulkDeleteReport::ToJson() const {
   AppendIoStats(&out, io);
   out += ",\"pool\":";
   AppendPoolStats(&out, pool);
-  out += ",\"pool_shards\":[";
-  for (size_t i = 0; i < pool_shards.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendPoolStats(&out, pool_shards[i]);
-  }
-  out += "],\"phases\":[";
+  out += ",\"phases\":[";
   for (size_t i = 0; i < phases.size(); ++i) {
     const PhaseStats& p = phases[i];
     if (i > 0) out += ',';
@@ -267,14 +256,6 @@ Result<BulkDeleteReport> BulkDeleteReport::FromJson(const std::string& json) {
   }
   if (const JsonValue* pool = root.Find("pool")) {
     report.pool = PoolStatsFromJson(*pool);
-  }
-  if (const JsonValue* shards = root.Find("pool_shards")) {
-    if (shards->kind != JsonValue::Kind::kArray) {
-      return Status::InvalidArgument("\"pool_shards\" must be an array");
-    }
-    for (const JsonValue& sv : shards->array) {
-      report.pool_shards.push_back(PoolStatsFromJson(sv));
-    }
   }
   if (const JsonValue* phases = root.Find("phases")) {
     if (phases->kind != JsonValue::Kind::kArray) {

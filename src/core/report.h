@@ -75,9 +75,6 @@ struct BulkDeleteReport {
   IoStats io;
   /// Buffer-pool activity during this statement (delta across the run).
   BufferPoolStats pool;
-  /// Per-shard breakdown of `pool`, in shard-index order. Size equals the
-  /// pool's effective shard count.
-  std::vector<BufferPoolStats> pool_shards;
   /// Metric deltas across this statement (counters and log2-bucket
   /// histograms from the database's obs::MetricsRegistry). The clock-reading
   /// latency histograms only populate when DatabaseOptions::trace_spans is

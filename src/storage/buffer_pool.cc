@@ -44,13 +44,12 @@ void PageGuard::Release() {
 }
 
 BufferPool::BufferPool(DiskManager* disk, BufferPoolOptions options)
-    : disk_(disk), options_(options), budget_bytes_(options.budget_bytes) {
+    : disk_(disk), budget_bytes_(options.budget_bytes) {
   total_frames_ = std::max<size_t>(budget_bytes_ / kPageSize, 4);
   // Clamp the shard count so every shard keeps at least ~8 frames: a shard
   // too small to hold a descent path's pins would fail spuriously.
   size_t shards = std::max<size_t>(options.shards, 1);
   shards = std::min(shards, std::max<size_t>(total_frames_ / 8, 1));
-  options_.shards = shards;
   shards_.reserve(shards);
   size_t base = total_frames_ / shards;
   size_t rem = total_frames_ % shards;
@@ -74,7 +73,6 @@ Result<PageGuard> BufferPool::NewPage() {
   frame.pin_count = 1;
   frame.dirty = true;  // a new page must reach disk even if never modified
   frame.in_use = true;
-  frame.prefetched = false;
   if (!frame.data) frame.data = std::make_unique<char[]>(kPageSize);
   std::memset(frame.data.get(), 0, kPageSize);
   shard.page_table[page_id] = f;
@@ -103,19 +101,6 @@ Result<PageGuard> BufferPool::FetchPage(PageId page_id) {
   if (it != shard.page_table.end()) {
     ++shard.stats.hits;
     Frame& frame = shard.frames[it->second];
-    if (frame.prefetched) {
-      // First demand access of a read-ahead frame: charge the simulated read
-      // now, exactly where the demand fetch would have performed it.
-      BULKDEL_RETURN_IF_ERROR(disk_->ChargePrefetchedRead(page_id));
-      ++shard.stats.prefetch_hits;
-      frame.prefetched = false;
-      --shard.prefetched_frames;
-      if (recorder.enabled()) {
-        recorder.RecordInstant(obs::TraceCategory::kReadahead,
-                               "readahead.consume", "page",
-                               static_cast<int64_t>(page_id));
-      }
-    }
     if (frame.pin_count == 0 && frame.in_lru) {
       shard.lru.erase(frame.lru_it);
       frame.in_lru = false;
@@ -141,7 +126,6 @@ Result<PageGuard> BufferPool::FetchPage(PageId page_id) {
   frame.pin_count = 1;
   frame.dirty = false;
   frame.in_use = true;
-  frame.prefetched = false;
   shard.page_table[page_id] = f;
   if (timed) fetch_ns_hist_->Observe(MonotonicNanos() - t0);
   return PageGuard(this, f, page_id, frame.data.get());
@@ -164,10 +148,6 @@ Status BufferPool::DeletePage(PageId page_id) {
       }
       frame.in_use = false;
       frame.dirty = false;
-      if (frame.prefetched) {
-        frame.prefetched = false;
-        --shard.prefetched_frames;
-      }
       shard.free_frames.push_back(it->second);
       shard.page_table.erase(it);
     }
@@ -261,11 +241,9 @@ Status BufferPool::Reset() {
         frame.in_lru = false;
       }
       frame.in_use = false;
-      frame.prefetched = false;
       shard->page_table.erase(frame.page_id);
       shard->free_frames.push_back(i);
     }
-    shard->prefetched_frames = 0;
   }
   return Status::OK();
 }
@@ -280,139 +258,10 @@ void BufferPool::DiscardAllForCrashTest() {
       shard->frames[i] = Frame();
       shard->free_frames.push_back(i);
     }
-    shard->prefetched_frames = 0;
     // A restarted process has cold counters; carrying pre-crash hit/miss
     // numbers into recovery double-counts the crash-sweep's per-run I/O.
     shard->stats = BufferPoolStats();
   }
-}
-
-size_t BufferPool::PrefetchChain(
-    PageId start, size_t max_pages,
-    const std::function<PageId(const char*)>& next_of) {
-  size_t covered = 0;
-  PageId cur = start;
-  while (cur != kInvalidPageId && covered < max_pages) {
-    Shard& shard = *shards_[ShardOf(cur)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    PageId next;
-    auto it = shard.page_table.find(cur);
-    if (it != shard.page_table.end()) {
-      // Already resident: no charge, just peek the successor.
-      next = next_of(shard.frames[it->second].data.get());
-    } else {
-      size_t f;
-      if (!TryAcquireCleanFrameLocked(shard, &f)) break;
-      Frame& frame = shard.frames[f];
-      if (!frame.data) frame.data = std::make_unique<char[]>(kPageSize);
-      if (!disk_->ReadPagePrefetch(cur, frame.data.get()).ok()) {
-        shard.free_frames.push_back(f);
-        break;
-      }
-      frame.page_id = cur;
-      frame.pin_count = 0;
-      frame.dirty = false;
-      frame.in_use = true;
-      frame.prefetched = true;
-      shard.page_table[cur] = f;
-      shard.lru.push_front(f);
-      frame.lru_it = shard.lru.begin();
-      frame.in_lru = true;
-      ++shard.prefetched_frames;
-      ++shard.stats.prefetched;
-      next = next_of(frame.data.get());
-    }
-    ++covered;
-    cur = next;
-  }
-  if (covered > 0 && obs::TraceRecorder::Global().enabled()) {
-    obs::TraceRecorder::Global().RecordInstant(
-        obs::TraceCategory::kReadahead, "readahead.issue_chain", "pages",
-        static_cast<int64_t>(covered));
-  }
-  return covered;
-}
-
-size_t BufferPool::PrefetchPages(const PageId* ids, size_t n) {
-  size_t covered = 0;
-  // Emitted on every exit path (the loop returns early when frames run out).
-  struct IssueNote {
-    const size_t* covered;
-    ~IssueNote() {
-      if (*covered > 0 && obs::TraceRecorder::Global().enabled()) {
-        obs::TraceRecorder::Global().RecordInstant(
-            obs::TraceCategory::kReadahead, "readahead.issue_pages", "pages",
-            static_cast<int64_t>(*covered));
-      }
-    }
-  } note{&covered};
-  size_t i = 0;
-  while (i < n) {
-    size_t shard_idx = ShardOf(ids[i]);
-    size_t stretch_end = i + 1;
-    while (stretch_end < n && ShardOf(ids[stretch_end]) == shard_idx) {
-      ++stretch_end;
-    }
-    Shard& shard = *shards_[shard_idx];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Frames acquired for a pending contiguous run, read with one ReadRun.
-    PageId run_first = kInvalidPageId;
-    std::vector<size_t> run_frames;
-    auto flush_run = [&]() -> bool {
-      if (run_frames.empty()) return true;
-      std::vector<char*> outs;
-      outs.reserve(run_frames.size());
-      for (size_t f : run_frames) outs.push_back(shard.frames[f].data.get());
-      if (!disk_->ReadRunPrefetch(run_first, outs).ok()) {
-        for (size_t f : run_frames) shard.free_frames.push_back(f);
-        run_frames.clear();
-        return false;
-      }
-      for (size_t k = 0; k < run_frames.size(); ++k) {
-        Frame& frame = shard.frames[run_frames[k]];
-        frame.page_id = run_first + static_cast<PageId>(k);
-        frame.pin_count = 0;
-        frame.dirty = false;
-        frame.in_use = true;
-        frame.prefetched = true;
-        shard.page_table[frame.page_id] = run_frames[k];
-        shard.lru.push_front(run_frames[k]);
-        frame.lru_it = shard.lru.begin();
-        frame.in_lru = true;
-        ++shard.prefetched_frames;
-        ++shard.stats.prefetched;
-        ++covered;
-      }
-      run_frames.clear();
-      return true;
-    };
-    for (size_t k = i; k < stretch_end; ++k) {
-      PageId p = ids[k];
-      if (shard.page_table.find(p) != shard.page_table.end()) {
-        if (!flush_run()) return covered;
-        ++covered;
-        continue;
-      }
-      bool contiguous = !run_frames.empty() &&
-                        p == run_first + static_cast<PageId>(run_frames.size());
-      if (!contiguous) {
-        if (!flush_run()) return covered;
-        run_first = p;
-      }
-      size_t f;
-      if (!TryAcquireCleanFrameLocked(shard, &f)) {
-        (void)flush_run();
-        return covered;
-      }
-      if (!shard.frames[f].data) {
-        shard.frames[f].data = std::make_unique<char[]>(kPageSize);
-      }
-      run_frames.push_back(f);
-    }
-    if (!flush_run()) return covered;
-    i = stretch_end;
-  }
-  return covered;
 }
 
 void BufferPool::SetPreWritebackHook(std::function<void()> hook) {
@@ -441,14 +290,6 @@ BufferPoolStats BufferPool::stats() const {
   BufferPoolStats total;
   for (const auto& shard : shards_) total += shard->stats;
   return total;
-}
-
-std::vector<BufferPoolStats> BufferPool::shard_stats() const {
-  auto locks = LockAllShards();
-  std::vector<BufferPoolStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard->stats);
-  return out;
 }
 
 void BufferPool::ResetStats() {
@@ -481,14 +322,6 @@ Result<size_t> BufferPool::AcquireFrameLocked(Shard& shard) {
     shard.free_frames.pop_back();
     return f;
   }
-  // Reclaim unconsumed prefetch frames before evicting a real victim: with
-  // read-ahead off this shard would still have a free frame here, so taking
-  // the speculative frame (no write-back, no charge) keeps the residency and
-  // eviction sequence of demand pages bit-identical to that run.
-  {
-    size_t f;
-    if (ReclaimPrefetchedFrameLocked(shard, &f)) return f;
-  }
   if (shard.lru.empty()) {
     return Status::ResourceExhausted(
         "buffer pool: all frames pinned (shard capacity " +
@@ -511,85 +344,14 @@ Result<size_t> BufferPool::AcquireFrameLocked(Shard& shard) {
           fault_sites::kPoolEvict, "page " + std::to_string(frame.page_id)));
     }
     if (pre_writeback_hook_) pre_writeback_hook_();
-    if (options_.coalesce_writebacks) {
-      // Batch the victim with resident dirty unpinned neighbors that form a
-      // contiguous page-id run: one sequential write replaces several random
-      // ones. Neighbors stay resident, merely cleaned. This changes the
-      // simulated write classification, which is why the knob defaults off.
-      PageId first = frame.page_id;
-      while (true) {
-        auto it = shard.page_table.find(first - 1);
-        if (first == 0 || it == shard.page_table.end()) break;
-        Frame& left = shard.frames[it->second];
-        if (!left.dirty || left.pin_count > 0) break;
-        first = first - 1;
-      }
-      PageId last = frame.page_id;
-      while (true) {
-        auto it = shard.page_table.find(last + 1);
-        if (it == shard.page_table.end()) break;
-        Frame& right = shard.frames[it->second];
-        if (!right.dirty || right.pin_count > 0) break;
-        last = last + 1;
-      }
-      std::vector<const char*> datas;
-      datas.reserve(last - first + 1);
-      for (PageId p = first; p <= last; ++p) {
-        datas.push_back(
-            shard.frames[shard.page_table.find(p)->second].data.get());
-      }
-      BULKDEL_RETURN_IF_ERROR(disk_->WriteRun(first, datas));
-      for (PageId p = first; p <= last; ++p) {
-        shard.frames[shard.page_table.find(p)->second].dirty = false;
-        ++shard.stats.dirty_writebacks;
-      }
-      shard.stats.coalesced_writebacks +=
-          static_cast<int64_t>(last - first);
-    } else {
-      BULKDEL_RETURN_IF_ERROR(
-          disk_->WritePage(frame.page_id, frame.data.get()));
-      ++shard.stats.dirty_writebacks;
-      frame.dirty = false;
-    }
+    BULKDEL_RETURN_IF_ERROR(disk_->WritePage(frame.page_id, frame.data.get()));
+    ++shard.stats.dirty_writebacks;
+    frame.dirty = false;
   }
   shard.page_table.erase(frame.page_id);
   frame.in_use = false;
-  frame.prefetched = false;
   ++shard.stats.evictions;
   return victim;
-}
-
-bool BufferPool::TryAcquireCleanFrameLocked(Shard& shard, size_t* frame) {
-  if (!shard.free_frames.empty()) {
-    *frame = shard.free_frames.back();
-    shard.free_frames.pop_back();
-    return true;
-  }
-  // Prefetch may recycle its own speculative frames but never displaces a
-  // demand-resident page (clean or dirty): evicting one would change which
-  // pages later demand fetches find resident and break the simulated-I/O
-  // identity. Under eviction pressure read-ahead degrades to a no-op.
-  return ReclaimPrefetchedFrameLocked(shard, frame);
-}
-
-bool BufferPool::ReclaimPrefetchedFrameLocked(Shard& shard, size_t* frame) {
-  if (shard.prefetched_frames == 0) return false;
-  // Scan from the victim end so the oldest (furthest-behind) prefetched page
-  // is the one dropped.
-  for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-    size_t idx = *it;
-    Frame& f = shard.frames[idx];
-    if (!f.prefetched) continue;
-    shard.lru.erase(std::next(it).base());
-    f.in_lru = false;
-    shard.page_table.erase(f.page_id);
-    f.in_use = false;
-    f.prefetched = false;
-    --shard.prefetched_frames;
-    *frame = idx;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace bulkdel

@@ -108,10 +108,6 @@ Status DiskManager::FreePage(PageId page_id) {
 
 Status DiskManager::ReadPage(PageId page_id, char* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  return ReadPageLocked(page_id, out);
-}
-
-Status DiskManager::ReadPageLocked(PageId page_id, char* out) {
   if (injector_ != nullptr) {
     BULKDEL_RETURN_IF_ERROR(injector_->Check(fault_sites::kDiskRead));
   }
@@ -134,53 +130,6 @@ Status DiskManager::ReadPageLocked(PageId page_id, char* out) {
 Status DiskManager::WritePage(PageId page_id, const char* data) {
   std::lock_guard<std::mutex> lock(mu_);
   return WritePageLocked(page_id, data);
-}
-
-Status DiskManager::ReadPagePrefetch(PageId page_id, char* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReadPagePrefetchLocked(page_id, out);
-}
-
-Status DiskManager::ReadRunPrefetch(PageId first,
-                                    const std::vector<char*>& outs) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BULKDEL_RETURN_IF_ERROR(
-        ReadPagePrefetchLocked(first + static_cast<PageId>(i), outs[i]));
-  }
-  return Status::OK();
-}
-
-Status DiskManager::ReadPagePrefetchLocked(PageId page_id, char* out) {
-  // No fault-site check and no accounting: the simulated charge (and the
-  // read fault check) happen in ChargePrefetchedRead when a demand fetch
-  // consumes the page. A tripped injector still fails the physical read so
-  // prefetching stops with everything else.
-  if (injector_ != nullptr && injector_->tripped()) {
-    return injector_->TrippedError();
-  }
-  BULKDEL_RETURN_IF_ERROR(CheckBounds(page_id));
-  if (fd_ < 0) {
-    std::memcpy(out, pages_[page_id].get(), kPageSize);
-    return Status::OK();
-  }
-  ssize_t n = ::pread(fd_, out, kPageSize,
-                      static_cast<off_t>(page_id) * kPageSize);
-  if (n < 0) return Status::IOError(std::strerror(errno));
-  if (n < static_cast<ssize_t>(kPageSize)) {
-    std::memset(out + n, 0, kPageSize - n);
-  }
-  return Status::OK();
-}
-
-Status DiskManager::ChargePrefetchedRead(PageId page_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (injector_ != nullptr) {
-    BULKDEL_RETURN_IF_ERROR(injector_->Check(fault_sites::kDiskRead));
-  }
-  BULKDEL_RETURN_IF_ERROR(CheckBounds(page_id));
-  Account(page_id, /*is_write=*/false);
-  return Status::OK();
 }
 
 void DiskManager::SetMetrics(obs::MetricsRegistry* metrics) {

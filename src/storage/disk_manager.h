@@ -162,29 +162,12 @@ class DiskManager {
   /// Writes `kPageSize` bytes from `data` to `page_id`.
   Status WritePage(PageId page_id, const char* data);
 
-  /// Physically reads `page_id` WITHOUT charging simulated I/O or checking
-  /// the read fault site. The buffer pool's read-ahead uses this: the charge
-  /// is deferred to ChargePrefetchedRead() at the moment a demand fetch
-  /// consumes the page, so the simulated cost sequence stays exactly the
-  /// demand-access sequence regardless of how far ahead the pool reads.
-  Status ReadPagePrefetch(PageId page_id, char* out);
-
-  /// ReadPagePrefetch over the contiguous run [first, first + outs.size())
-  /// under a single mutex acquisition.
-  Status ReadRunPrefetch(PageId first, const std::vector<char*>& outs);
-
-  /// Charges the simulated read of `page_id` as if ReadPage ran now: fault
-  /// check, accounting and sequential/random classification against the
-  /// current head, into the calling thread's installed IoAttribution. Called
-  /// by the buffer pool when a demand fetch consumes a prefetched frame.
-  Status ChargePrefetchedRead(PageId page_id);
-
   /// Writes the contiguous run [first, first + datas.size()) under a single
   /// mutex acquisition; the per-page accounting and fault semantics match the
   /// equivalent sequence of WritePage calls exactly (a torn/short fault still
   /// mangles only the page it fires on and fails there). With the file
   /// backing, the verified pages go out as one pwritev(2) vectored write.
-  /// Used by the buffer pool's coalesced write-behind and checkpoint sweeps.
+  /// Used by the buffer pool's checkpoint sweep (FlushAll).
   Status WriteRun(PageId first, const std::vector<const char*>& datas);
 
   /// Durability barrier: forces every written page to the medium (fsync(2)
@@ -226,12 +209,8 @@ class DiskManager {
 
  private:
   Status CheckBounds(PageId page_id) const;
-  /// Single-page read/write bodies; must be called with mu_ held.
-  Status ReadPageLocked(PageId page_id, char* out);
+  /// Single-page write body; must be called with mu_ held.
   Status WritePageLocked(PageId page_id, const char* data);
-  /// Raw data movement with bounds check only (no charge, no fault site);
-  /// must be called with mu_ held.
-  Status ReadPagePrefetchLocked(PageId page_id, char* out);
   /// Classifies the access against the previous head position and charges
   /// simulated time, both globally and into the calling thread's installed
   /// IoAttribution (if any). Must be called with mu_ held.

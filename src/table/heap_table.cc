@@ -263,38 +263,9 @@ Status HeapTable::UpdateInPlace(const Rid& rid, const char* tuple) {
   return Status::OK();
 }
 
-namespace {
-// Chain accessor handed to BufferPool::PrefetchChain; next_page lives at a
-// fixed offset independent of the tuple size.
-PageId HeapChainNextOf(const char* data) { return LoadU32(data + 4); }
-
-// Read-ahead countdown for the heap chain walks, mirroring the B-tree leaf
-// prefetcher: announce a window, then stay quiet until it is consumed.
-class HeapChainPrefetcher {
- public:
-  explicit HeapChainPrefetcher(BufferPool* pool)
-      : pool_(pool), window_(pool->readahead_pages()) {}
-  void Announce(PageId next) {
-    if (window_ == 0 || next == kInvalidPageId) return;
-    if (countdown_ > 0) {
-      --countdown_;
-      return;
-    }
-    size_t covered = pool_->PrefetchChain(next, window_, &HeapChainNextOf);
-    countdown_ = covered > 0 ? covered : window_;
-  }
-
- private:
-  BufferPool* pool_;
-  size_t window_;
-  size_t countdown_ = 0;
-};
-}  // namespace
-
 Status HeapTable::Scan(
     const std::function<Status(const Rid&, const char*)>& visitor) {
   PageId current = first_data_page_;
-  HeapChainPrefetcher prefetch(pool_);
   while (current != kInvalidPageId) {
     PageId next;
     {
@@ -307,7 +278,6 @@ Status HeapTable::Scan(
       }
       next = hp.next_page();
     }
-    prefetch.Announce(next);
     current = next;
   }
   return Status::OK();
@@ -319,7 +289,6 @@ Status HeapTable::ScanDeleteIf(
     uint64_t* deleted_count) {
   uint64_t deleted = 0;
   PageId current = first_data_page_;
-  HeapChainPrefetcher prefetch(pool_);
   while (current != kInvalidPageId) {
     PageId next;
     {
@@ -347,7 +316,6 @@ Status HeapTable::ScanDeleteIf(
       }
       next = hp.next_page();
     }
-    prefetch.Announce(next);
     current = next;
   }
   tuple_count_ -= deleted;
@@ -361,30 +329,9 @@ Status HeapTable::BulkDeleteSortedRids(
     uint64_t* deleted_count, uint64_t* missing) {
   uint64_t deleted = 0;
   uint64_t absent = 0;
-  // The sorted RID list names every upcoming page exactly; announce them to
-  // the pool in windows so the reads overlap the per-page work. Simulated
-  // I/O is unaffected: prefetch charges on consumption (see PrefetchPages).
-  std::vector<PageId> upcoming;
-  const size_t window = pool_->readahead_pages();
-  if (window > 0) {
-    upcoming.reserve(rids.size() / 8 + 1);
-    for (size_t k = 0; k < rids.size(); ++k) {
-      if (upcoming.empty() || upcoming.back() != rids[k].page) {
-        upcoming.push_back(rids[k].page);
-      }
-    }
-  }
-  size_t next_announce = 0;  // index into `upcoming` of the next window start
-  size_t page_ordinal = 0;   // distinct pages consumed so far
   size_t i = 0;
   while (i < rids.size()) {
     PageId page_id = rids[i].page;
-    if (window > 0 && page_ordinal >= next_announce) {
-      size_t n = std::min(window, upcoming.size() - page_ordinal);
-      pool_->PrefetchPages(upcoming.data() + page_ordinal, n);
-      next_announce = page_ordinal + n;
-    }
-    ++page_ordinal;
     BULKDEL_ASSIGN_OR_RETURN(PageGuard page, pool_->FetchPage(page_id));
     HeapPage hp(page.data(), schema_->tuple_size());
     bool was_full = hp.IsFull();
@@ -419,7 +366,6 @@ Status HeapTable::EnsureExtentMap() {
   extents_.clear();
   extent_pos_.clear();
   PageId current = first_data_page_;
-  HeapChainPrefetcher prefetch(pool_);
   while (current != kInvalidPageId) {
     PageId next;
     uint32_t live;
@@ -431,7 +377,6 @@ Status HeapTable::EnsureExtentMap() {
     }
     extent_pos_[current] = extents_.size();
     extents_.push_back(Extent{current, live});
-    prefetch.Announce(next);
     current = next;
   }
   extent_map_valid_ = true;

@@ -220,5 +220,23 @@ TEST(DatabaseTest, ReportContainsPhasesAndIo) {
   EXPECT_FALSE(report->ToString().empty());
 }
 
+TEST(DatabaseTest, PoolShardCountFollowsExecThreads) {
+  // The serial executor gets one LRU list; parallel phases get 8 latch
+  // stripes, unless the budget is too small to give each one enough frames.
+  DatabaseOptions serial;
+  serial.exec_threads = 1;
+  EXPECT_EQ((*Database::Create(serial))->pool().num_shards(), 1u);
+
+  DatabaseOptions parallel;
+  parallel.exec_threads = 4;
+  EXPECT_EQ((*Database::Create(parallel))->pool().num_shards(), 8u);
+
+  DatabaseOptions tiny = parallel;
+  tiny.memory_budget_bytes = 64 * 1024;
+  auto tiny_db = *Database::Create(tiny);
+  EXPECT_GE(tiny_db->pool().num_shards(), 1u);
+  EXPECT_LT(tiny_db->pool().num_shards(), 8u);
+}
+
 }  // namespace
 }  // namespace bulkdel

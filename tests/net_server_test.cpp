@@ -434,6 +434,12 @@ TEST(NetServer, ObservabilityPlaneUnderConcurrentLoad) {
   }
   {
     auto conn = *Client::Connect("127.0.0.1", port);
+    // Start the delete only once the observer has finished one probe round:
+    // on a loaded host the observer thread may not run before a short
+    // delete ends, and would then never probe at all.
+    while (sys_queries.load() + failures.load() == 0) {
+      std::this_thread::yield();
+    }
     auto r = conn.Execute(bulk_delete);
     if (!r.ok()) ++failures;
     done.store(true, std::memory_order_release);
@@ -584,7 +590,6 @@ TEST(NetServer, ConcurrentDmlMatchesSerialReferenceFile) {
   std::remove((dir + "/pages.db").c_str());
   std::remove((dir + "/wal.log").c_str());
   DatabaseOptions options;
-  options.backend = StorageBackend::kFile;
   options.path = dir;
   RunConcurrentDmlEquivalence(std::move(options));
 }

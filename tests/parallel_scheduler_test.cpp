@@ -330,16 +330,7 @@ TEST(ReportJsonTest, RoundTripsAllFields) {
   EXPECT_EQ(parsed->pool.misses, r.pool.misses);
   EXPECT_EQ(parsed->pool.evictions, r.pool.evictions);
   EXPECT_EQ(parsed->pool.dirty_writebacks, r.pool.dirty_writebacks);
-  EXPECT_EQ(parsed->pool.prefetched, r.pool.prefetched);
-  EXPECT_EQ(parsed->pool.prefetch_hits, r.pool.prefetch_hits);
-  EXPECT_EQ(parsed->pool.coalesced_writebacks, r.pool.coalesced_writebacks);
   EXPECT_GT(r.pool.hits + r.pool.misses, 0) << "pool stats never collected";
-  ASSERT_EQ(parsed->pool_shards.size(), r.pool_shards.size());
-  for (size_t i = 0; i < r.pool_shards.size(); ++i) {
-    EXPECT_EQ(parsed->pool_shards[i].hits, r.pool_shards[i].hits);
-    EXPECT_EQ(parsed->pool_shards[i].misses, r.pool_shards[i].misses);
-    EXPECT_EQ(parsed->pool_shards[i].evictions, r.pool_shards[i].evictions);
-  }
 
   ASSERT_EQ(parsed->phases.size(), r.phases.size());
   for (size_t i = 0; i < r.phases.size(); ++i) {

@@ -440,7 +440,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (cfg.backend == "file") {
-      options.backend = StorageBackend::kFile;
       options.path = cfg.db_dir;
     } else if (cfg.backend != "sim") {
       std::fprintf(stderr, "unknown --backend=%s\n", cfg.backend.c_str());

@@ -4,7 +4,7 @@
 //   - the critical path through the phase DAG, walked over the `parent`
 //     links the PhaseScope spans carry,
 //   - per-thread busy % (span time / trace wall time per lane),
-//   - instant-event counts by name (pool evictions, read-ahead issues, ...),
+//   - instant-event counts by name (pool evictions, dirty evictions, ...),
 //   - with --reports=FILE.jsonl, the top histogram tails aggregated over the
 //     BulkDeleteReport::ToJson lines a bench wrote via --trace-out,
 //   - with --slowlog=FILE.jsonl, the server's slow-query records (see
